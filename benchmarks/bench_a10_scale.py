@@ -10,13 +10,13 @@ fully-simulated deployment can afford.  Two tracks extend the curves:
   :class:`~repro.net.aggregate.AggregateCluster` leaves (validated
   against exact small-N floods in tests/test_net_aggregate.py).
 * **Sharded tier** — :class:`~repro.sim.sharded.ShardedPropagation`
-  partitions one large flood across shard processes with epoch-barrier
-  message exchange, seed-stable regardless of scheduling.
+  times one large flood exactly: per-shard delay streams over a CSR
+  crowd graph, relaxed by one vectorized frontier kernel.
 * **Sharded traffic tier** — ``build_deployment(topology_scale=
   TopologyScale(plane="sharded"))`` runs *full protocol traffic* (every
   gossiped tx/block) over a
   :class:`~repro.net.sharded_plane.ShardedMessagePlane` crowd, with
-  byte-identical jobs=1 vs jobs=N plane fingerprints.
+  seed-stable plane fingerprints.
 """
 
 import hashlib
@@ -74,20 +74,18 @@ def measure_scale_point(paradigm, total_nodes, seed, duration_s=120.0,
     return point
 
 
-def sharded_point(total_nodes, shards, seed, jobs=1):
+def sharded_point(total_nodes, shards, seed):
     """One sharded-flood point: coverage, latency percentiles and the
     arrival-vector fingerprint (the determinism witness)."""
     config = ShardedConfig(total_nodes=total_nodes, shards=shards,
                            seed=seed)
     started = time.perf_counter()
-    result = ShardedPropagation(config).run(jobs=jobs)
+    result = ShardedPropagation(config).run()
     wall_s = time.perf_counter() - started
     return {
         "total_nodes": total_nodes,
         "shards": shards,
         "reached": result.reached,
-        "epochs": result.epochs,
-        "cross_shard_messages": result.cross_shard_messages,
         "p50_s": result.percentile(50),
         "p95_s": result.percentile(95),
         "fingerprint": result.fingerprint(),
@@ -95,13 +93,13 @@ def sharded_point(total_nodes, shards, seed, jobs=1):
     }
 
 
-def sharded_traffic_point(paradigm, total_nodes, seed, *, shards=4, jobs=1,
+def sharded_traffic_point(paradigm, total_nodes, seed, *, shards=4,
                           duration_s=30.0, offered_tps=1.0):
     """One full-protocol-traffic point on the sharded plane: every
-    gossiped tx/block is timed by an epoch-barrier crowd propagation
-    over all ``total_nodes`` (not a mean-field model of them)."""
+    gossiped tx/block is timed by a crowd propagation over all
+    ``total_nodes`` (not a mean-field model of them)."""
     scale = TopologyScale(total_nodes=total_nodes, plane="sharded",
-                          shards=shards, jobs=jobs)
+                          shards=shards)
     if paradigm == "blockchain":
         params = replace(BITCOIN, target_block_interval_s=15.0,
                          max_block_size_bytes=8_000, confirmation_depth=2)
@@ -114,25 +112,22 @@ def sharded_traffic_point(paradigm, total_nodes, seed, *, shards=4, jobs=1,
             topology_scale=scale)
     else:
         raise ValueError(f"paradigm {paradigm!r} has no sharded tier")
-    try:
-        deployment.setup(8, 10**9)
-        injector = OpenLoopInjector.from_sim_stream(
-            deployment.ledger, accounts=8, rate_tps=offered_tps,
-            duration_s=duration_s)
-        injector.start()
-        deployment.ledger.advance(duration_s * 1.25)
-        confirmed = deployment.ledger.stats().entries_confirmed
-        point = {
-            "paradigm": paradigm,
-            "total_nodes": total_nodes,
-            "offered": injector.report.offered,
-            "confirmed": confirmed,
-            "tps": confirmed / duration_s,
-            "plane_fingerprint": deployment.network.plane_fingerprint(),
-        }
-        point.update(deployment.scale_stats())
-    finally:
-        deployment.close()
+    deployment.setup(8, 10**9)
+    injector = OpenLoopInjector.from_sim_stream(
+        deployment.ledger, accounts=8, rate_tps=offered_tps,
+        duration_s=duration_s)
+    injector.start()
+    deployment.ledger.advance(duration_s * 1.25)
+    confirmed = deployment.ledger.stats().entries_confirmed
+    point = {
+        "paradigm": paradigm,
+        "total_nodes": total_nodes,
+        "offered": injector.report.offered,
+        "confirmed": confirmed,
+        "tps": confirmed / duration_s,
+        "plane_fingerprint": deployment.network.plane_fingerprint(),
+    }
+    point.update(deployment.scale_stats())
     return point
 
 
@@ -180,8 +175,6 @@ def test_a10_sharded_flood_covers_ten_thousand_nodes(benchmark):
     point = benchmark.pedantic(
         lambda: sharded_point(10_000, 8, seed=5), rounds=1, iterations=1)
     assert point["reached"] == 10_000
-    assert point["epochs"] >= 1
-    assert point["cross_shard_messages"] > 0
     assert 0 < point["p50_s"] <= point["p95_s"]
     # Same seed, same arrival vector — regardless of wall-clock details.
     again = sharded_point(10_000, 8, seed=5)
@@ -190,21 +183,19 @@ def test_a10_sharded_flood_covers_ten_thousand_nodes(benchmark):
     assert other["fingerprint"] != point["fingerprint"]
     rows = [
         ["nodes reached", f"{point['reached']}/{point['total_nodes']}"],
-        ["epochs", point["epochs"]],
-        ["cross-shard messages", point["cross_shard_messages"]],
         ["flood p50 / p95", f"{point['p50_s']:.3f} s / "
                             f"{point['p95_s']:.3f} s"],
         ["fingerprint", point["fingerprint"]],
     ]
-    report("A10b sharded flood at 10^4 nodes (epoch barriers)",
+    report("A10b sharded flood at 10^4 nodes (CSR frontier kernel)",
            render_table(["metric", "value"], rows))
 
 
 def test_a10_sharded_plane_carries_protocol_traffic(benchmark):
     """Full tx/block gossip over a 2*10^3-node sharded crowd: both
     paradigms confirm entries while every broadcast is propagated across
-    the whole population, and a jobs=2 rerun reproduces the jobs=1 plane
-    fingerprint byte-for-byte."""
+    the whole population, and a rerun reproduces the plane fingerprint
+    byte-for-byte."""
     def build_points():
         return {p: sharded_traffic_point(p, 2_000, seed=2, duration_s=30.0)
                 for p in ("blockchain", "dag")}
@@ -216,7 +207,7 @@ def test_a10_sharded_plane_carries_protocol_traffic(benchmark):
         assert point["messages_modeled"] > 0
         assert point["scaled"] == 1.0
         assert point["modeled_nodes"] == 2_000 - point["boundary_nodes"]
-        again = sharded_traffic_point(paradigm, 2_000, seed=2, jobs=2,
+        again = sharded_traffic_point(paradigm, 2_000, seed=2,
                                       duration_s=30.0)
         assert again["plane_fingerprint"] == point["plane_fingerprint"]
         rows.append([
@@ -227,7 +218,7 @@ def test_a10_sharded_plane_carries_protocol_traffic(benchmark):
         ])
     report(
         "A10c full protocol traffic on the sharded plane "
-        "(jobs=1 == jobs=2)",
+        "(rerun reproduces the fingerprint)",
         render_table(
             ["paradigm", "nodes", "TPS", "messages", "flood max",
              "plane fingerprint"], rows),
@@ -272,12 +263,8 @@ def run(params: dict, seed: int) -> dict:
                 f"{paradigm}:{n}:{point['confirmed']}:"
                 f"{point['modeled_deliveries']:.0f}:"
                 f"{point['propagation_max_s']:.9f}".encode())
-    sharded = sharded_point(sharded_nodes, int(p["sharded_shards"]), seed,
-                            jobs=int(p["jobs"]))
+    sharded = sharded_point(sharded_nodes, int(p["sharded_shards"]), seed)
     metrics["sharded_reached"] = sharded["reached"]
-    metrics["sharded_epochs"] = sharded["epochs"]
-    metrics["sharded_cross_shard_messages"] = \
-        sharded["cross_shard_messages"]
     metrics["sharded_p50_s"] = sharded["p50_s"]
     metrics["sharded_p95_s"] = sharded["p95_s"]
     metrics["sharded_nodes_per_s"] = sharded["nodes_per_s"]
@@ -289,7 +276,7 @@ def run(params: dict, seed: int) -> dict:
         for paradigm, rate in rates.items():
             point = sharded_traffic_point(
                 paradigm, traffic_nodes, seed,
-                shards=int(p["sharded_shards"]), jobs=int(p["jobs"]),
+                shards=int(p["sharded_shards"]),
                 duration_s=p["traffic_duration_s"], offered_tps=rate)
             metrics[f"{paradigm}_traffic_tps"] = point["tps"]
             metrics[f"{paradigm}_traffic_messages"] = \

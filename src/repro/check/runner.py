@@ -232,7 +232,6 @@ def run_schedule(
     direct path (the shrinker and released callers).
     """
     profile = schedule.profile
-    handle: Optional[Deployment] = None
     if ledger is None:
         handle = build_fuzz_deployment(paradigm, schedule.seed, profile)
         handle.setup(profile.accounts, profile.initial_balance)
@@ -288,9 +287,6 @@ def run_schedule(
     if tracer is not None:
         digest.update(tracer.fingerprint().encode() + b"\n")
     digest.update(f"now={ledger.now():.6f}".encode())
-
-    if handle is not None:
-        handle.close()  # shut down sharded-plane workers, if any
 
     return FuzzRunResult(
         paradigm=paradigm,

@@ -395,7 +395,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         scale = deployment.scale_stats()
         if scale["scaled"]:
             scale_report = scale
-        deployment.close()
     print(render_table(
         ["run", "offered", "confirmed", "backpressure", "ledger size"],
         rows,

@@ -153,11 +153,9 @@ class Deployment:
         return stats
 
     def close(self) -> None:
-        """Release plane resources (sharded worker processes); no-op on
-        the exact and aggregate planes."""
-        network = self.network
-        if network is not None and hasattr(network, "close"):
-            network.close()
+        """End the deployment's lifetime.  Every plane runs in-process
+        and holds no outside resource, so there is nothing to release;
+        callers may still pair each deployment with one call."""
 
     def start_workload(self, accounts: int,
                        spec: Optional[WorkloadSpec] = None):
@@ -262,7 +260,6 @@ def build_deployment(
                 shards=scale.shards,
                 chords=scale.chords,
                 link=scale.cluster_link,
-                jobs=scale.jobs,
             )
 
     def reject_unused(**knobs) -> None:

@@ -314,7 +314,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                             "duration_s": 120.0,
                             "blockchain_tps": 2.0, "dag_tps": 8.0,
                             "sharded_nodes": 10_000, "sharded_shards": 8,
-                            "jobs": 1, "total_nodes": 0,
+                            "total_nodes": 0,
                             "traffic_nodes": 2_000,
                             "traffic_duration_s": 30.0},
         ),

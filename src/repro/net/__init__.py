@@ -8,7 +8,7 @@ and bound the throughput of Section VI.
 Three message planes implement the
 :class:`repro.protocol.interfaces.MessagePlane` contract: the exact
 :class:`Network` (reference), the :class:`ShardedMessagePlane` (full
-protocol traffic over an epoch-barrier crowd, 10^4-10^6 nodes) and the
+protocol traffic over an exactly relaxed crowd, 10^4-10^6 nodes) and the
 mean-field aggregate tier (:class:`AggregateCluster` /
 :func:`attach_clusters`, nested cluster-of-clusters at 10^5+).
 """

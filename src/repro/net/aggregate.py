@@ -376,10 +376,13 @@ class TopologyScale:
     ``"sharded"``
         the whole deployment runs on a
         :class:`repro.net.sharded_plane.ShardedMessagePlane` — every
-        gossiped protocol message is timed by an epoch-barrier crowd
-        propagation over all ``total_nodes``.  Serves 10^4-10^6 with
-        *real* protocol traffic (``shards`` / ``chords`` / ``jobs``
-        configure the crowd).
+        gossiped protocol message is timed by a crowd propagation over
+        all ``total_nodes``.  Serves 10^4-10^6 with *real* protocol
+        traffic (``shards`` / ``chords`` configure the crowd).
+
+    ``jobs`` is validated but spawns no processes: the sharded crowd
+    kernel runs in the calling process, so any value gives the same
+    results at the same speed.
     """
 
     total_nodes: int

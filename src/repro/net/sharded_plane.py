@@ -1,10 +1,8 @@
 """The sharded message plane: full protocol traffic at 10^4-10^6 nodes.
 
-PR 9's sharded tier (:mod:`repro.sim.sharded`) could only time pure
-floods — one origin, one message, no protocol on top.  This module
-closes the gap named by the ROADMAP's scale item: it implements the
-:class:`repro.protocol.interfaces.MessagePlane` contract on top of the
-epoch-barrier shard workers, so PoW/PoS and Nano deployments run *real*
+It implements the :class:`repro.protocol.interfaces.MessagePlane`
+contract on top of the crowd propagation kernel
+(:mod:`repro.sim.sharded`), so PoW/PoS and Nano deployments run *real*
 tx/block gossip while the propagation fabric is a 10^4-10^6-node crowd.
 
 The model is a hybrid:
@@ -16,18 +14,18 @@ The model is a hybrid:
   partitions and the retransmit/park/kick recovery machinery keep their
   reference semantics over the replicas' direct links.
 * Every :meth:`gossip` call runs one **crowd propagation**: the message
-  re-draws per-edge delays from a stream derived only from
-  ``(seed, message sequence)`` (see :meth:`ShardState.reset`), relaxes
-  first-arrival times across all shards, and the other replicas'
-  arrival times become scheduled deliveries on the simulator.  The
-  10^N - k crowd nodes are accounted as modeled deliveries, exactly
-  like the aggregate tier's clusters.
+  re-draws per-edge delays from streams derived only from
+  ``(seed, message sequence, shard)`` and relaxes first-arrival times
+  over the whole crowd graph (built once, on the first gossip); the
+  other replicas' arrival times become scheduled deliveries on the
+  simulator.  The 10^N - k crowd nodes are accounted as modeled
+  deliveries, exactly like the aggregate tier's clusters.
 
 Determinism: the per-message label sequence is a plain counter, the
-shard machinery is pinned byte-identical between ``jobs=1`` and
-``jobs=N``, and no crowd computation touches the simulator's RNG
-streams — so a deployment's state digest and the plane's own
-:meth:`plane_fingerprint` are byte-identical for any ``jobs``.
+kernel's arrivals are a pure function of (graph, delays), and no crowd
+computation touches the simulator's RNG streams — so a deployment's
+state digest and the plane's own :meth:`plane_fingerprint` are
+seed-stable.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from repro.net.link import LinkParams, WAN_LINK
 from repro.net.message import Message
 from repro.net.network import Network, RetransmitPolicy
 from repro.net.node import NetworkNode
-from repro.sim.sharded import ShardedConfig, ShardedPropagation
+from repro.sim.sharded import CrowdGraph, ShardedConfig, ShardedPropagation
 from repro.sim.simulator import Simulator
 from repro.trace import REASON_OFFLINE, REASON_PARTITION, Tracer
 
@@ -57,10 +55,6 @@ class ShardedMessagePlane(Network):
     ``chords`` random matchings, per-edge delays following ``link``).
     Direct sends (:meth:`transmit` / :meth:`transmit_reliable`) and all
     fault machinery stay exact over the replica links.
-
-    Call :meth:`close` when done if ``jobs > 1`` — it tears down the
-    persistent shard worker processes (idempotent; ``jobs = 1`` is a
-    no-op).
     """
 
     def __init__(
@@ -71,9 +65,7 @@ class ShardedMessagePlane(Network):
         shards: int = 4,
         chords: int = 2,
         link: Optional[LinkParams] = None,
-        jobs: int = 1,
         seed: Optional[int] = None,
-        epoch_s: float = 0.5,
         tracer: Optional[Tracer] = None,
         retransmit: Optional[RetransmitPolicy] = None,
         seen_cache_size: Optional[int] = 65536,
@@ -83,32 +75,25 @@ class ShardedMessagePlane(Network):
                          seen_cache_size=seen_cache_size, coalesce=coalesce)
         if total_nodes < 2:
             raise ValueError("total_nodes must be >= 2")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.total_nodes = total_nodes
         self.shards = shards
         self.chords = chords
-        self.jobs = jobs
         self.crowd_link = link if link is not None else WAN_LINK
-        self.epoch_s = epoch_s
         # Derived through the simulator's fork discipline so two planes
         # in one experiment (control vs treatment) decorrelate, yet the
         # crowd stays a pure function of (simulator seed, construction
-        # order) — never of wall clock or worker scheduling.
+        # order) — never of wall clock.
         self.seed = (seed if seed is not None
                      else simulator.fork_rng("sharded-plane").getrandbits(48))
         self._replica_order: List[str] = []
         self._crowd_index: Dict[str, int] = {}
         self._prop: Optional[ShardedPropagation] = None
-        self._workers = None
+        self._graph: Optional[CrowdGraph] = None
         self._msg_seq = 0
         self._crowd_fp = hashlib.sha256()
-        self._closed = False
         # Crowd-side accounting (the modeled complement of traffic_stats).
         self.messages_modeled = 0
         self.modeled_deliveries = 0
-        self.cross_shard_messages = 0
-        self.crowd_epochs = 0
         self.propagation_max_s = 0.0
 
     # ---------------------------------------------------------------- wiring
@@ -122,7 +107,7 @@ class ShardedMessagePlane(Network):
         self._replica_order.append(node.node_id)
 
     def _ensure_crowd(self) -> None:
-        """Freeze the replica embedding and open the shard backend."""
+        """Freeze the replica embedding and build the crowd graph."""
         if self._prop is not None:
             return
         replicas = len(self._replica_order)
@@ -149,26 +134,10 @@ class ShardedMessagePlane(Network):
             total_nodes=self.total_nodes,
             shards=self.shards,
             chords=self.chords,
-            epoch_s=self.epoch_s,
             seed=self.seed,
         )
         self._prop = ShardedPropagation(config)
-        self._workers = self._prop.open(self.jobs).__enter__()
-
-    def close(self) -> None:
-        """Tear down the shard worker processes (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._workers is not None:
-            self._workers.__exit__(None, None, None)
-            self._workers = None
-
-    def __del__(self) -> None:  # pragma: no cover - defensive cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._graph = self._prop.open()
 
     # --------------------------------------------------------------- gossip
 
@@ -186,11 +155,10 @@ class ShardedMessagePlane(Network):
         label = f"msg:{self._msg_seq}"
         self._msg_seq += 1
         result = self._prop.run_with(
-            self._workers,
+            self._graph,
             origin=self._crowd_index[origin],
             label=label,
             payload_bytes=message.size_bytes,
-            jobs=self.jobs,
         )
         self._crowd_fp.update(result.fingerprint().encode())
         arrivals = result.arrivals
@@ -200,8 +168,6 @@ class ShardedMessagePlane(Network):
             np.isfinite(arrivals[replica_rows])))
         self.messages_modeled += 1
         self.modeled_deliveries += result.reached - replica_reached
-        self.cross_shard_messages += result.cross_shard_messages
-        self.crowd_epochs += result.epochs
         finite = arrivals[np.isfinite(arrivals)]
         if len(finite):
             self.propagation_max_s = max(self.propagation_max_s,
@@ -271,8 +237,7 @@ class ShardedMessagePlane(Network):
         """Digest over every crowd propagation so far.
 
         A pure function of (seed, replica attach order, gossip sequence,
-        message sizes) — byte-identical for ``jobs=1`` vs ``jobs=N``,
-        which the test suite and the CI smoke pin.
+        message sizes), pinned by the test suite.
         """
         return self._crowd_fp.hexdigest()[:16]
 
@@ -292,7 +257,5 @@ class ShardedMessagePlane(Network):
         counters.update({
             "plane.messages_modeled": float(self.messages_modeled),
             "plane.modeled_deliveries": float(self.modeled_deliveries),
-            "plane.cross_shard_messages": float(self.cross_shard_messages),
-            "plane.crowd_epochs": float(self.crowd_epochs),
         })
         return counters

@@ -40,7 +40,7 @@ class MessagePlane(Protocol):
     Three implementations exist: the exact :class:`repro.net.network.Network`
     (the reference — bit-identical goldens are pinned on it), the
     sharded plane (:class:`repro.net.sharded_plane.ShardedMessagePlane`,
-    full protocol traffic over an epoch-barrier crowd at 10^4-10^6
+    full protocol traffic over an exactly relaxed crowd at 10^4-10^6
     nodes) and the nested-aggregate tier
     (:class:`repro.net.aggregate.AggregateCluster` leaves hanging off an
     exact boundary).  ``repro.net`` / ``repro.sim`` may import *this

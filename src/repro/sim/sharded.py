@@ -1,28 +1,29 @@
-"""Sharded large-graph propagation with epoch barriers.
+"""Crowd-scale first-arrival propagation over a sharded delay law.
 
-The second scale track (ROADMAP open item #1b): instead of one event
-loop owning all 10^4-10^6 nodes, the topology is partitioned into
-contiguous shards, each shard relaxes its own first-arrival times with
-vectorized numpy passes, and shards exchange cross-shard arrivals only
-at epoch barriers.  Workers run on the persistent
-:class:`repro.runner.pool.ShardWorkers` fan-out (``jobs > 1``) or inline
-in-process (``jobs = 1``) — by construction both produce *identical*
-results:
+The second scale track: one 10^4-10^6-node flood graph (ring + seeded
+chord matchings) whose per-edge delays are drawn shard by shard, and
+whose first-arrival times are computed by a single in-process kernel.
 
-* the graph is built once from the root seed (ring + random chords),
-  identically in every worker;
-* each shard draws its out-edge delays in one vectorized batch from a
-  ``fork_rng``-derived stream (label ``shard:<index>``), so the draws
-  depend only on (seed, shard index) — never on process scheduling;
-* barrier merges happen in shard order and messages are sorted by
-  ``(time, dst)`` before routing, so the merge order is deterministic.
+* :meth:`ShardedPropagation.open` builds the graph once as CSR: edges
+  sorted by ``(head, tail)``, duplicate ``(head, tail)`` pairs merged
+  (a chord that hits a ring neighbour, or any graph of <= 3 nodes).
+* :meth:`ShardedPropagation.run_with` draws each shard's edge delays in
+  one vectorized batch from a ``fork_rng``-derived stream (label
+  ``[<message label>:]shard:<index>``), so a draw depends only on
+  (seed, label, shard index).  Shards are contiguous head ranges, so
+  the sorted edge order is the concatenation of the shard orders; a
+  duplicate pair keeps the minimum of its draws.
+* It then relaxes from the origin over a dirty-node frontier (a
+  label-correcting Bellman-Ford: gather the frontier's CSR rows,
+  scatter-min ``dist[head] + w`` into ``dist``, re-queue improved
+  targets) until no node improves.  The fixed point is unique — the
+  minimum over paths of the left-to-right float path sum — so the
+  arrival vector does not depend on the order relaxations happen in.
 
-What runs here is the propagation kernel of the gossip fabric — a
-single-source first-arrival computation with per-edge delays sampled
-from the same law as :meth:`repro.net.link.LinkParams.delivery_delay`
-(duck-typed so ``repro.sim`` stays below ``repro.net`` in the layering).
-The scale bench uses it to measure how propagation times and cross-shard
-traffic grow with network size.
+The delay law is :meth:`repro.net.link.LinkParams.delivery_delay`'s
+(duck-typed so ``repro.sim`` stays below ``repro.net`` in the
+layering).  The scale bench and the sharded message plane use it to
+time floods over the whole population.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.common.rng import fork_rng, make_rng
 
 __all__ = [
+    "CrowdGraph",
     "ShardedConfig",
     "ShardedResult",
-    "ShardState",
     "ShardedPropagation",
     "build_edges",
 ]
@@ -59,21 +60,21 @@ class ShardedConfig:
 
     The topology is a ring (guaranteed connectivity) plus ``chords``
     random matchings per node — degree ``2 + 2 * chords`` in
-    expectation, the usual unstructured-overlay shape.  Link fields
-    follow :class:`repro.net.link.LinkParams` semantics.
+    expectation, the usual unstructured-overlay shape.  ``shards``
+    splits the node range into contiguous blocks, each with its own
+    delay stream.  Link fields follow
+    :class:`repro.net.link.LinkParams` semantics.
     """
 
     total_nodes: int
     shards: int = 4
     chords: int = 2
-    epoch_s: float = 0.5
     seed: int = 0
     latency_s: float = 0.1
     jitter_s: float = 0.05
     bandwidth_bps: float = 50_000_000.0
     loss_probability: float = 0.0
     payload_bytes: int = 256
-    max_epochs: int = 100_000
 
     def __post_init__(self) -> None:
         if self.total_nodes < 2:
@@ -82,14 +83,10 @@ class ShardedConfig:
             raise ValueError("shards must be in [1, total_nodes]")
         if self.chords < 0:
             raise ValueError("chords must be non-negative")
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("loss probability must be in [0, 1)")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
 
     @classmethod
     def with_link(cls, link, **kwargs) -> "ShardedConfig":
@@ -102,12 +99,17 @@ class ShardedConfig:
             **kwargs,
         )
 
+    def shard_bounds(self) -> np.ndarray:
+        """``shards + 1`` node boundaries: shard i owns ``[b[i], b[i+1])``."""
+        return np.arange(self.shards + 1) * self.total_nodes // self.shards
+
 
 def build_edges(config: ShardedConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Directed edge arrays (heads, tails) of the overlay graph.
 
-    Derived from the root seed alone — every shard worker rebuilds the
-    identical graph, so no adjacency ever crosses a pipe.
+    Derived from the root seed alone.  May contain duplicate pairs: a
+    chord can land on a ring neighbour, and for ``total_nodes <= 3``
+    the two ring directions coincide.
     """
     n = config.total_nodes
     index = np.arange(n)
@@ -145,137 +147,24 @@ def _edge_delays(config: ShardedConfig, count: int,
     return delays
 
 
-class ShardState:
-    """One shard's slice of the propagation: owned nodes + out-edges.
+@dataclass(frozen=True)
+class CrowdGraph:
+    """The flood graph in CSR form, built once per configuration.
 
-    Lives either inline (``jobs=1``) or inside a persistent worker
-    process; its only cross-shard interface is :meth:`step` (epoch
-    barrier) and :meth:`collect` (final gather), both picklable.
+    Node ``v``'s out-edges are ``tails[indptr[v]:indptr[v + 1]]``, one
+    per distinct ``(v, tail)`` pair.  ``shard_edges[i]`` counts shard
+    i's edges *before* merging duplicates (the length of its delay
+    draw).  In the concatenated draws, ``firsts`` indexes the first
+    draw of each distinct pair and ``repeats`` every later draw of a
+    duplicate, which belongs to distinct pair ``repeat_pairs``.
     """
 
-    def __init__(self, config: ShardedConfig, index: int) -> None:
-        n, shards = config.total_nodes, config.shards
-        self.config = config
-        self.index = index
-        self.lo = index * n // shards
-        self.hi = (index + 1) * n // shards
-        heads, tails = build_edges(config)
-        owned = (heads >= self.lo) & (heads < self.hi)
-        # Deterministic edge order (head, then tail) so the shard's
-        # vectorized delay draw is independent of graph-build order.
-        order = np.lexsort((tails[owned], heads[owned]))
-        self.heads = heads[owned][order]
-        self.tails = tails[owned][order]
-        rng = np.random.default_rng(_np_seed(config.seed, f"shard:{index}"))
-        self.weights = _edge_delays(config, len(self.heads), rng)
-        self.dist = np.full(self.hi - self.lo, np.inf)
-        self.dirty = np.zeros(self.hi - self.lo, dtype=bool)
-        #: best arrival already announced per cross-shard edge (dedupe)
-        self.announced = np.full(len(self.heads), np.inf)
-        self.external = (self.tails < self.lo) | (self.tails >= self.hi)
-
-    def step(self, times: np.ndarray, nodes: np.ndarray,
-             horizon: float) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Apply incoming arrivals, relax internally up to ``horizon``.
-
-        Returns ``(out_times, out_nodes, pending)`` where the out arrays
-        are cross-shard arrival candidates and ``pending`` counts owned
-        nodes still awaiting relaxation beyond the horizon.
-        """
-        if len(nodes):
-            local = np.asarray(nodes, dtype=np.int64) - self.lo
-            # Scatter-min, not assignment: one barrier batch can carry
-            # several candidates for the same node (one per inbound
-            # cross-shard edge) and a plain fancy-index write would let
-            # the last — not the best — win.
-            before = self.dist[local]
-            np.minimum.at(self.dist, local, np.asarray(times, dtype=float))
-            self.dirty[local[self.dist[local] < before]] = True
-        out_times: List[np.ndarray] = []
-        out_nodes: List[np.ndarray] = []
-        while True:
-            active = np.flatnonzero(self.dirty & (self.dist < horizon))
-            if not len(active):
-                break
-            self.dirty[active] = False
-            edges = np.flatnonzero(np.isin(self.heads, active + self.lo))
-            if not len(edges):
-                continue
-            candidate = self.dist[self.heads[edges] - self.lo] \
-                + self.weights[edges]
-            targets = self.tails[edges]
-            external = self.external[edges]
-            # Internal scatter-min; improved nodes go back on the front.
-            internal_t = targets[~external] - self.lo
-            internal_c = candidate[~external]
-            if len(internal_t):
-                before = self.dist[internal_t]
-                np.minimum.at(self.dist, internal_t, internal_c)
-                self.dirty[internal_t[self.dist[internal_t] < before]] = True
-            # Cross-shard: announce only candidates that beat what this
-            # edge already sent (re-announcements happen when an earlier
-            # path improves retroactively).
-            ext_edges = edges[external]
-            ext_c = candidate[external]
-            better = ext_c < self.announced[ext_edges]
-            if np.any(better):
-                self.announced[ext_edges[better]] = ext_c[better]
-                out_times.append(ext_c[better])
-                out_nodes.append(targets[external][better])
-        pending = int(np.count_nonzero(self.dirty & np.isfinite(self.dist)))
-        if out_times:
-            return (np.concatenate(out_times), np.concatenate(out_nodes),
-                    pending)
-        return np.zeros(0), np.zeros(0, dtype=np.int64), pending
-
-    def reset(self, label: str, payload_bytes: Optional[int] = None) -> int:
-        """Rearm the shard for a fresh propagation labelled ``label``.
-
-        The message plane reuses one set of (possibly worker-process)
-        shards for every gossiped message; each message re-draws its
-        per-edge delays from a stream derived only from
-        ``(seed, label, shard index)`` — never from worker scheduling —
-        so jobs=1 and jobs=N stay byte-identical per message.  A
-        ``payload_bytes`` override retimes the serialization term for
-        the actual message size.  Returns the owned-node count so the
-        barrier ``call`` has a payload-shaped reply.
-        """
-        config = self.config
-        if payload_bytes is not None and payload_bytes != config.payload_bytes:
-            config = dataclasses.replace(config, payload_bytes=payload_bytes)
-        rng = np.random.default_rng(
-            _np_seed(config.seed, f"{label}:shard:{self.index}"))
-        self.weights = _edge_delays(config, len(self.heads), rng)
-        self.dist = np.full(self.hi - self.lo, np.inf)
-        self.dirty = np.zeros(self.hi - self.lo, dtype=bool)
-        self.announced = np.full(len(self.heads), np.inf)
-        return self.hi - self.lo
-
-    def collect(self) -> np.ndarray:
-        """Final first-arrival times for this shard's owned nodes."""
-        return self.dist
-
-
-def _make_shard_state(config: ShardedConfig, index: int) -> ShardState:
-    """Module-level factory — picklable for ShardWorkers."""
-    return ShardState(config, index)
-
-
-class _InlineShards:
-    """jobs=1 stand-in for ShardWorkers: same call interface, no IPC."""
-
-    def __init__(self, config: ShardedConfig) -> None:
-        self._states = [ShardState(config, i) for i in range(config.shards)]
-
-    def __enter__(self) -> "_InlineShards":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def call(self, method: str, payloads: Sequence[tuple]) -> List:
-        return [getattr(state, method)(*payload)
-                for state, payload in zip(self._states, payloads)]
+    indptr: np.ndarray
+    tails: np.ndarray
+    shard_edges: Tuple[int, ...]
+    firsts: np.ndarray
+    repeats: np.ndarray
+    repeat_pairs: np.ndarray
 
 
 @dataclass
@@ -283,10 +172,7 @@ class ShardedResult:
     """Outcome of one sharded propagation run."""
 
     arrivals: np.ndarray
-    epochs: int
-    cross_shard_messages: int
     config: ShardedConfig
-    jobs: int = 1
     _fingerprint: Optional[str] = field(default=None, repr=False)
 
     @property
@@ -310,101 +196,85 @@ class ShardedResult:
 
 
 class ShardedPropagation:
-    """Drive one partitioned first-arrival propagation to completion."""
+    """First-arrival floods over one configuration's crowd graph."""
 
     def __init__(self, config: ShardedConfig) -> None:
         self.config = config
 
-    def _owner(self, nodes: np.ndarray) -> np.ndarray:
-        n, shards = self.config.total_nodes, self.config.shards
-        # Must match ShardState's bounds: shard i owns [i*n//s, (i+1)*n//s).
-        uppers = np.asarray([(i + 1) * n // shards for i in range(shards)])
-        return np.searchsorted(uppers, nodes, side="right")
+    def open(self) -> CrowdGraph:
+        """Build the CSR crowd graph :meth:`run_with` relaxes over."""
+        config = self.config
+        heads, tails = build_edges(config)
+        order = np.lexsort((tails, heads))
+        heads, tails = heads[order], tails[order]
+        shard_edges = np.diff(np.searchsorted(heads, config.shard_bounds()))
+        distinct = np.ones(len(heads), dtype=bool)
+        distinct[1:] = (heads[1:] != heads[:-1]) | (tails[1:] != tails[:-1])
+        firsts = np.flatnonzero(distinct)
+        indptr = np.searchsorted(heads[firsts],
+                                 np.arange(config.total_nodes + 1))
+        return CrowdGraph(indptr=indptr, tails=tails[firsts],
+                          shard_edges=tuple(int(c) for c in shard_edges),
+                          firsts=firsts,
+                          repeats=np.flatnonzero(~distinct),
+                          repeat_pairs=np.cumsum(distinct)[~distinct] - 1)
 
-    def open(self, jobs: int = 1):
-        """Shard backend for :meth:`run_with` — a context manager.
+    def _weights(self, graph: CrowdGraph, label: Optional[str],
+                 payload_bytes: Optional[int]) -> np.ndarray:
+        """Per-distinct-edge delays: shard i draws from stream
+        ``[<label>:]shard:<i>``; a duplicate pair keeps its minimum."""
+        config = self.config
+        if payload_bytes is not None and payload_bytes != config.payload_bytes:
+            config = dataclasses.replace(config, payload_bytes=payload_bytes)
+        prefix = "" if label is None else f"{label}:"
+        draws = np.concatenate([
+            _edge_delays(config, count, np.random.default_rng(
+                _np_seed(config.seed, f"{prefix}shard:{index}")))
+            for index, count in enumerate(graph.shard_edges)
+        ])
+        # Same result as np.minimum.reduceat over the runs of each pair,
+        # ~6x cheaper when nearly every run has length one.
+        weights = draws[graph.firsts]
+        np.minimum.at(weights, graph.repeat_pairs, draws[graph.repeats])
+        return weights
 
-        ``jobs > 1`` spawns every shard into its own persistent worker
-        process (:class:`repro.runner.pool.ShardWorkers`); ``jobs = 1``
-        holds the shard states inline.  Both expose the same barrier
-        ``call`` interface, so callers (and the sharded message plane,
-        which keeps one backend open across many messages) never branch
-        on the parallelism mode.
-        """
-        if jobs > 1:
-            from repro.runner.pool import ShardWorkers
-            return ShardWorkers(_make_shard_state, self.config,
-                                self.config.shards)
-        return _InlineShards(self.config)
-
-    def run_with(self, workers, origin: int = 0, *,
+    def run_with(self, graph: CrowdGraph, origin: int = 0, *,
                  label: Optional[str] = None,
-                 payload_bytes: Optional[int] = None,
-                 jobs: int = 1) -> ShardedResult:
-        """One propagation from ``origin`` over an open shard backend.
+                 payload_bytes: Optional[int] = None) -> ShardedResult:
+        """One propagation from ``origin`` over an opened crowd graph.
 
-        With ``label`` set, every shard first re-draws its edge delays
-        from the ``(seed, label)``-derived stream (see
-        :meth:`ShardState.reset`) so one backend can serve a whole
-        message sequence deterministically; without it the shards run as
-        constructed (the legacy single-shot path).
+        With ``label`` set, the edge delays come from the
+        ``(seed, label)``-derived streams, so one graph serves a whole
+        message sequence deterministically; ``payload_bytes`` retimes
+        the serialization term for the actual message size.
         """
         config = self.config
         if not 0 <= origin < config.total_nodes:
             raise ValueError("origin out of range")
-        shards = config.shards
-        if label is not None:
-            workers.call("reset", [(label, payload_bytes)
-                                   for _ in range(shards)])
-        # Owner shard boundaries follow ShardState: lo = i * n // shards.
-        inbox_times: List[np.ndarray] = [np.zeros(0) for _ in range(shards)]
-        inbox_nodes: List[np.ndarray] = [np.zeros(0, dtype=np.int64)
-                                         for _ in range(shards)]
-        origin_shard = int(self._owner(np.asarray([origin]))[0])
-        inbox_times[origin_shard] = np.asarray([0.0])
-        inbox_nodes[origin_shard] = np.asarray([origin], dtype=np.int64)
-        horizon = config.epoch_s
-        epochs = 0
-        cross = 0
-        while True:
-            if epochs >= config.max_epochs:
-                raise RuntimeError(
-                    f"no convergence after {epochs} epochs")
-            payloads = [(inbox_times[i], inbox_nodes[i], horizon)
-                        for i in range(shards)]
-            replies = workers.call("step", payloads)
-            epochs += 1
-            horizon += config.epoch_s
-            # Barrier merge, in deterministic order: shard-ordered
-            # gather, then a (time, dst) sort before routing.
-            all_times = np.concatenate([r[0] for r in replies])
-            all_nodes = np.concatenate(
-                [np.asarray(r[1], dtype=np.int64) for r in replies])
-            pending = sum(int(r[2]) for r in replies)
-            cross += len(all_times)
-            if not len(all_times) and pending == 0:
-                break
-            order = np.lexsort((all_nodes, all_times))
-            all_times = all_times[order]
-            all_nodes = all_nodes[order]
-            owners = self._owner(all_nodes)
-            for i in range(shards):
-                mine = owners == i
-                inbox_times[i] = all_times[mine]
-                inbox_nodes[i] = all_nodes[mine]
-        collected = workers.call("collect", [() for _ in range(shards)])
-        arrivals = np.concatenate(collected)
-        return ShardedResult(arrivals=arrivals, epochs=epochs,
-                             cross_shard_messages=cross, config=config,
-                             jobs=jobs)
+        weights = self._weights(graph, label, payload_bytes)
+        indptr, tails = graph.indptr, graph.tails
+        dist = np.full(config.total_nodes, np.inf)
+        dist[origin] = 0.0
+        dirty = np.zeros(config.total_nodes, dtype=bool)
+        frontier = np.asarray([origin])
+        while len(frontier):
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            # Edge ids of every frontier row: each row's start, repeated
+            # over the row, plus the position within the row.
+            offsets = np.cumsum(counts) - counts
+            edges = (np.repeat(starts - offsets, counts)
+                     + np.arange(offsets[-1] + counts[-1]))
+            candidate = np.repeat(dist[frontier], counts) + weights[edges]
+            targets = tails[edges]
+            before = dist[targets]
+            np.minimum.at(dist, targets, candidate)
+            dirty[targets[candidate < before]] = True
+            frontier = np.flatnonzero(dirty)
+            dirty[frontier] = False
+        return ShardedResult(arrivals=dist, config=config)
 
-    def run(self, origin: int = 0, jobs: int = 1) -> ShardedResult:
-        """Propagate from ``origin``; identical results for any ``jobs``.
-
-        ``jobs > 1`` runs every shard in its own persistent worker
-        process (:class:`repro.runner.pool.ShardWorkers`); ``jobs = 1``
-        steps the shards inline.  Seed-stability across the two paths is
-        pinned by the test suite.
-        """
-        with self.open(jobs) as workers:
-            return self.run_with(workers, origin, jobs=jobs)
+    def run(self, origin: int = 0) -> ShardedResult:
+        """Propagate from ``origin`` with the configuration's own delay
+        draws (no message label)."""
+        return self.run_with(self.open(), origin)

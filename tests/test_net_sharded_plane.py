@@ -3,9 +3,9 @@
 The plane's contract has three load-bearing pieces: it satisfies the
 :class:`~repro.protocol.interfaces.MessagePlane` seam (so protocol code
 cannot tell it from the exact :class:`Network`), every broadcast is
-timed by an epoch-barrier crowd propagation over the whole modeled
-population, and the crowd fingerprint is byte-identical between jobs=1
-and jobs=N (scheduling must never leak into results).
+timed by a crowd propagation over the whole modeled population, and the
+crowd fingerprint is a pure function of the seed and the gossip
+sequence.
 """
 
 import pytest
@@ -36,12 +36,24 @@ class Recorder(NetworkNode):
         self.received.append((sender_id, message.payload))
 
 
-def build_plane(total_nodes=100, shards=2, jobs=1, seed=11, replicas=4):
+def build_plane(total_nodes=100, shards=2, seed=11, replicas=4):
     sim = Simulator(seed=1)
     net = ShardedMessagePlane(sim, total_nodes=total_nodes, shards=shards,
-                              jobs=jobs, seed=seed, link=FAST_LINK)
+                              seed=seed, link=FAST_LINK)
     nodes = complete_topology(net, replicas, Recorder, FAST_LINK)
     return sim, net, nodes
+
+
+def sharded_deployment(jobs=1):
+    scale = TopologyScale(total_nodes=500, plane="sharded", shards=2,
+                          jobs=jobs)
+    deployment = build_deployment(
+        "blockchain", node_count=4, seed=3, topology_scale=scale)
+    deployment.setup(4, 10**9)
+    deployment.ledger.submit(PaymentEvent(
+        time_s=0.0, sender_index=0, recipient_index=1, amount=5))
+    deployment.ledger.advance(30.0)
+    return deployment
 
 
 class TestMessagePlaneContract:
@@ -50,120 +62,97 @@ class TestMessagePlaneContract:
 
     def test_sharded_plane_satisfies_the_interface(self):
         sim, net, nodes = build_plane()
-        try:
-            assert isinstance(net, MessagePlane)
-        finally:
-            net.close()
+        assert isinstance(net, MessagePlane)
 
     def test_plane_counters_extend_reference_counters(self):
         sim, net, nodes = build_plane()
-        try:
-            nodes[0].broadcast(make_message("a"))
-            sim.run()
-            counters = net.plane_counters()
-            for key in ("plane.messages_delivered", "plane.messages_lost",
-                        "plane.bytes_transferred", "plane.pending_retries",
-                        "plane.messages_modeled",
-                        "plane.modeled_deliveries"):
-                assert key in counters
-            assert counters["plane.messages_modeled"] == 1.0
-        finally:
-            net.close()
+        nodes[0].broadcast(make_message("a"))
+        sim.run()
+        counters = net.plane_counters()
+        for key in ("plane.messages_delivered", "plane.messages_lost",
+                    "plane.bytes_transferred", "plane.pending_retries",
+                    "plane.messages_modeled",
+                    "plane.modeled_deliveries"):
+            assert key in counters
+        assert counters["plane.messages_modeled"] == 1.0
 
 
 class TestCrowdDelivery:
     def test_broadcast_reaches_every_replica_through_the_crowd(self):
         sim, net, nodes = build_plane(total_nodes=100, replicas=4)
-        try:
-            nodes[0].broadcast(make_message("hello"))
-            sim.run()
-            for node in nodes[1:]:
-                assert [p for _, p in node.received] == ["hello"]
-            stats = net.plane_stats()
-            assert stats["boundary_nodes"] == 4
-            assert stats["modeled_nodes"] == 96
-            assert stats["messages_modeled"] == 1
-            assert stats["propagation_max_s"] > 0
-        finally:
-            net.close()
+        nodes[0].broadcast(make_message("hello"))
+        sim.run()
+        for node in nodes[1:]:
+            assert [p for _, p in node.received] == ["hello"]
+        stats = net.plane_stats()
+        assert stats["boundary_nodes"] == 4
+        assert stats["modeled_nodes"] == 96
+        assert stats["messages_modeled"] == 1
+        assert stats["propagation_max_s"] > 0
 
     def test_duplicate_broadcasts_are_suppressed(self):
         sim, net, nodes = build_plane()
-        try:
-            message = make_message("once")
-            nodes[0].broadcast(message)
-            sim.run()
-            nodes[1].broadcast(message)  # same dedup key, already seen
-            sim.run()
-            assert net.plane_stats()["messages_modeled"] == 2
-            for node in nodes[2:]:
-                assert [p for _, p in node.received] == ["once"]
-        finally:
-            net.close()
+        message = make_message("once")
+        nodes[0].broadcast(message)
+        sim.run()
+        nodes[1].broadcast(message)  # same dedup key, already seen
+        sim.run()
+        assert net.plane_stats()["messages_modeled"] == 2
+        for node in nodes[2:]:
+            assert [p for _, p in node.received] == ["once"]
 
     def test_add_node_after_crowd_freezes_raises(self):
         sim, net, nodes = build_plane()
-        try:
-            nodes[0].broadcast(make_message("a"))
-            sim.run()
-            with pytest.raises(RuntimeError):
-                net.add_node(Recorder("late"))
-        finally:
-            net.close()
-
-    def test_close_is_idempotent(self):
-        sim, net, nodes = build_plane()
         nodes[0].broadcast(make_message("a"))
         sim.run()
-        net.close()
-        net.close()
+        with pytest.raises(RuntimeError):
+            net.add_node(Recorder("late"))
+
+    def test_close_is_idempotent(self):
+        deployment = sharded_deployment()
+        before = deployment.scale_stats()
+        deployment.close()
+        deployment.close()
+        assert deployment.scale_stats() == before
 
 
 class TestDeterminism:
-    def run_messages(self, jobs):
-        sim, net, nodes = build_plane(total_nodes=200, shards=4, jobs=jobs,
-                                      seed=42)
-        try:
-            for i in range(3):
-                nodes[i % len(nodes)].broadcast(make_message(f"m{i}"))
-                sim.run()
-            received = tuple(tuple(p for _, p in n.received) for n in nodes)
-            return net.plane_fingerprint(), received, net.plane_stats()
-        finally:
-            net.close()
+    def run_messages(self, seed=42):
+        sim, net, nodes = build_plane(total_nodes=200, shards=4, seed=seed)
+        for i in range(3):
+            nodes[i % len(nodes)].broadcast(make_message(f"m{i}"))
+            sim.run()
+        received = tuple(tuple(p for _, p in n.received) for n in nodes)
+        return net.plane_fingerprint(), received, net.plane_stats()
+
+    def test_same_seed_same_results(self):
+        assert self.run_messages() == self.run_messages()
 
     def test_jobs_do_not_change_results(self):
-        """The acceptance bar: jobs=1 and jobs=2 produce byte-identical
-        crowd fingerprints, deliveries and stats."""
-        assert self.run_messages(jobs=1) == self.run_messages(jobs=2)
+        """``TopologyScale.jobs`` is still accepted but spawns nothing:
+        any value yields the identical crowd and ledger."""
+        one, two = sharded_deployment(jobs=1), sharded_deployment(jobs=2)
+        assert one.network.plane_fingerprint() \
+            == two.network.plane_fingerprint()
+        assert one.ledger.state_digest() == two.ledger.state_digest()
+        assert one.scale_stats() == two.scale_stats()
 
     def test_seed_changes_the_fingerprint(self):
-        base = self.run_messages(jobs=1)[0]
-        sim, net, nodes = build_plane(total_nodes=200, shards=4, seed=43)
-        try:
-            for i in range(3):
-                nodes[i % len(nodes)].broadcast(make_message(f"m{i}"))
-                sim.run()
-            assert net.plane_fingerprint() != base
-        finally:
-            net.close()
+        assert self.run_messages(seed=43)[0] != self.run_messages()[0]
 
 
 class TestFaultRecovery:
     def test_partitioned_replica_recovers_after_heal(self):
         sim, net, nodes = build_plane(total_nodes=100, replicas=4)
-        try:
-            names = [n.node_id for n in nodes]
-            net.partition([names[:3], names[3:]])
-            nodes[0].broadcast(make_message("cut"))
-            sim.run(until=sim.now + 5.0)
-            assert nodes[3].received == []
-            net.heal()
-            net.kick_retries()
-            sim.run(until=sim.now + 120.0)
-            assert [p for _, p in nodes[3].received] == ["cut"]
-        finally:
-            net.close()
+        names = [n.node_id for n in nodes]
+        net.partition([names[:3], names[3:]])
+        nodes[0].broadcast(make_message("cut"))
+        sim.run(until=sim.now + 5.0)
+        assert nodes[3].received == []
+        net.heal()
+        net.kick_retries()
+        sim.run(until=sim.now + 120.0)
+        assert [p for _, p in nodes[3].received] == ["cut"]
 
 
 class TestDeploymentIntegration:
@@ -173,18 +162,8 @@ class TestDeploymentIntegration:
             build_deployment("bft", node_count=4, topology_scale=scale)
 
     def test_sharded_deployment_reports_scale_stats(self):
-        scale = TopologyScale(total_nodes=500, plane="sharded", shards=2)
-        deployment = build_deployment(
-            "blockchain", node_count=4, seed=3, topology_scale=scale)
-        try:
-            deployment.setup(4, 10**9)
-            deployment.ledger.submit(PaymentEvent(
-                time_s=0.0, sender_index=0, recipient_index=1, amount=5))
-            deployment.ledger.advance(30.0)
-            stats = deployment.scale_stats()
-            assert stats["scaled"] == 1.0
-            assert stats["boundary_nodes"] == 4
-            assert stats["modeled_nodes"] == 496
-            assert stats["messages_modeled"] > 0
-        finally:
-            deployment.close()
+        stats = sharded_deployment().scale_stats()
+        assert stats["scaled"] == 1.0
+        assert stats["boundary_nodes"] == 4
+        assert stats["modeled_nodes"] == 496
+        assert stats["messages_modeled"] > 0
